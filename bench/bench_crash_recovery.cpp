@@ -64,6 +64,10 @@ LegResult run(const Leg& leg) {
   c.net_fault = {};
   c.net_reliable = false;
   c.meta_ceiling_bytes = 0;
+  // The push protocols stay off: update-push counts depend on thread
+  // interleaving, and the off leg is gated on exact wire identity.
+  c.update_mode = false;
+  c.lock_push_bytes = 0;
   c.ckpt_every = leg.ckpt_every;
   c.net_crash_node = leg.crash_node;
   c.net_crash_at = leg.crash_at;

@@ -151,50 +151,53 @@ int main(int argc, char** argv) {
     c.add_row(std::move(row));
   };
 
-  // Adaptive update protocol, invalidate (pull) vs update (push) on the Tmk
+  // Adaptive update protocol, default (push) vs invalidate (pull) on the Tmk
   // versions: the regular applications (Sweep3D, 3D-FFT, Water) re-read the
   // same pages from the same writers every epoch, exactly the sharing the
   // copyset promotes; the irregular ones (TSP, QSORT) must not regress —
   // copysets never stabilize there and transient promotions demote via the
-  // armed probes.  Pull and push always run the *same* inputs; the epoch-
-  // bound applications (3D-FFT's 2 iterations, Water's 3 steps) are extended
-  // so the run is longer than the adaptation window — promotion takes
+  // armed probes.  The default column is the shipped config (both push
+  // protocols on); the pull column turns update push off and nothing else.
+  // Both always run the *same* inputs; the epoch-bound applications
+  // (3D-FFT's 2 iterations, Water's 3 steps) are extended so the run is
+  // longer than the adaptation window — promotion takes
   // update_promote_epochs of observation plus one epoch of lag, which at
   // Table 2's tiny defaults lands after the final read.
-  Table u({"Application", "Faults pull", "Faults push", "Msg pull", "Msg push",
-           "Pushes", "PushHits", "Demotions"});
+  Table u({"Application", "Faults default", "Faults pull", "Msg default",
+           "Msg pull", "Pushes", "PushHits", "Demotions"});
   auto add_update = [&](const char* name, const auto& params,
                         const VersionedResults* r) {
-    tmk::DsmConfig pushcfg = dsm_cfg(kNodes);
-    pushcfg.update_mode = true;
-    const apps::AppResult pl =
+    tmk::DsmConfig pullcfg = dsm_cfg(kNodes);
+    pullcfg.update_mode = false;
+    const apps::AppResult pu =
         r != nullptr ? r->tmk : run_tmk(params, dsm_cfg(kNodes));
-    const apps::AppResult pu = run_tmk(params, pushcfg);
-    u.add_row({name, Table::fmt(pl.dsm.read_faults),
-               Table::fmt(pu.dsm.read_faults), Table::fmt(pl.traffic.messages),
-               Table::fmt(pu.traffic.messages),
+    const apps::AppResult pl = run_tmk(params, pullcfg);
+    u.add_row({name, Table::fmt(pu.dsm.read_faults),
+               Table::fmt(pl.dsm.read_faults), Table::fmt(pu.traffic.messages),
+               Table::fmt(pl.traffic.messages),
                Table::fmt(pu.dsm.update_pushes_sent),
                Table::fmt(pu.dsm.update_push_hits),
                Table::fmt(pu.dsm.update_demotions)});
   };
 
-  // Migratory lock push, pull vs push on the lock-synchronized Tmk
+  // Migratory lock push, default (push) vs pull on the lock-synchronized Tmk
   // versions: TSP's branch-and-bound bound and Water's force-merge lock are
   // the paper's canonical migratory data.  The barrier applications ride
   // along as controls — their lock traffic is negligible, so lock push must
-  // leave them unchanged within run-to-run noise.
-  Table l({"Application", "Faults pull", "Faults push", "Msg pull", "Msg push",
-           "LkPushes", "LkHits", "LkDemotions"});
+  // leave them unchanged within run-to-run noise.  The pull column turns
+  // lock push off and nothing else.
+  Table l({"Application", "Faults default", "Faults pull", "Msg default",
+           "Msg pull", "LkPushes", "LkHits", "LkDemotions"});
   auto add_lock_push = [&](const char* name, const auto& params,
                            const VersionedResults* r) {
-    tmk::DsmConfig pushcfg = dsm_cfg(kNodes);
-    pushcfg.lock_push_bytes = 16 * 1024;
-    const apps::AppResult pl =
+    tmk::DsmConfig pullcfg = dsm_cfg(kNodes);
+    pullcfg.lock_push_bytes = 0;
+    const apps::AppResult pu =
         r != nullptr ? r->tmk : run_tmk(params, dsm_cfg(kNodes));
-    const apps::AppResult pu = run_tmk(params, pushcfg);
-    l.add_row({name, Table::fmt(pl.dsm.read_faults),
-               Table::fmt(pu.dsm.read_faults), Table::fmt(pl.traffic.messages),
-               Table::fmt(pu.traffic.messages),
+    const apps::AppResult pl = run_tmk(params, pullcfg);
+    l.add_row({name, Table::fmt(pu.dsm.read_faults),
+               Table::fmt(pl.dsm.read_faults), Table::fmt(pu.traffic.messages),
+               Table::fmt(pl.traffic.messages),
                Table::fmt(pu.dsm.lock_pushes_sent),
                Table::fmt(pu.dsm.lock_push_hits),
                Table::fmt(pu.dsm.lock_push_demotions)});
@@ -239,20 +242,19 @@ int main(int argc, char** argv) {
   std::cout << "\n== barrier-time GC + diff cache + multi-page prefetch"
             << (update_on ? " + update protocol" : "") << " ==\n";
   c.print(std::cout);
-  std::cout << "\n== adaptive update protocol: Tmk invalidate (pull) vs"
-               " update (push) ==\n";
+  std::cout << "\n== adaptive update protocol: Tmk default (push) vs"
+               " invalidate (pull) ==\n";
   u.print(std::cout);
-  std::cout << "(pull = the default invalidate protocol"
-            << (update_on ? " — update mode is also on in the default config"
-                : "")
-            << "; push promotes pages whose\n copyset is stable for "
+  std::cout << "(default = the shipped config, update and lock push on; pull"
+               " = update push off.\n Push promotes pages whose copyset is"
+               " stable for "
             << dsm.update_promote_epochs
             << " epochs and pushes their diffs at the barrier.  TSP and"
-               "\n QSORT never promote — zero pushes — so their pull/push"
+               "\n QSORT never promote — zero pushes — so their default/pull"
                " deltas are the branch-and-\n bound / lock-race run-to-run"
                " noise, not protocol cost)\n";
-  std::cout << "\n== migratory lock push: Tmk invalidate (pull) vs lock-grant"
-               " push (TMK_LOCK_PUSH_BYTES=16384) ==\n";
+  std::cout << "\n== migratory lock push: Tmk default (lock-grant push, "
+            << dsm.lock_push_bytes << " B/grant) vs pull ==\n";
   l.print(std::cout);
   std::cout << "(the releaser piggybacks the diffs of its critical section's"
                " hot pages on the\n kLockGrant it forwards; TSP's bound and"

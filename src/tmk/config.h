@@ -91,27 +91,25 @@ struct DsmConfig {
   // can never clobber a concurrent writer's already-applied words).
   // 0 disables the push entirely.  Pushed chunks ride the requester-side
   // diff cache keyed (writer, seq) — idempotent against a concurrent pull —
-  // so the push is inert while the cache is off.  Default overridable via
-  // TMK_LOCK_PUSH_BYTES.
-  std::size_t lock_push_bytes = detail::env_size("TMK_LOCK_PUSH_BYTES", 0);
+  // so the push is inert while the cache is off.  On by default: the
+  // benchmark's migratory workload (TSP) runs ~39% faster in modelled time
+  // with it; tests that compare against the pull path assign 0.
+  std::size_t lock_push_bytes = 16 * 1024;
 
   // Consecutive critical sections of *this* holder that leave a protected
   // page untouched before it decays out of the lock's set.  Kept above
   // lock_push_reprobe so a read-only consumer (whose touches are only
   // visible on armed probe faults, every reprobe-th push) does not decay
-  // between probes.  Default overridable via TMK_LOCK_PUSH_PROBE.
-  std::uint32_t lock_push_probe = static_cast<std::uint32_t>(
-      detail::env_size("TMK_LOCK_PUSH_PROBE", 8));
+  // between probes.
+  std::uint32_t lock_push_probe = 8;
 
   // Every Nth push of a page along the grant chain is applied *armed*
   // (contents current, page unmapped): the next holder's first access
   // faults once, locally, proving it still touches the page.  A page still
   // armed when that holder releases the lock was dead weight — the holder
   // denies the pusher (kLockPushDeny) and the page demotes from the set
-  // with exponential re-admission backoff.  Must be >= 1.  Default
-  // overridable via TMK_LOCK_PUSH_REPROBE.
-  std::uint32_t lock_push_reprobe = static_cast<std::uint32_t>(
-      detail::env_size("TMK_LOCK_PUSH_REPROBE", 4));
+  // with exponential re-admission backoff.  Must be >= 1.
+  std::uint32_t lock_push_reprobe = 4;
 
   // Adaptive hybrid invalidate/update protocol.  Writers track a per-page
   // *copyset* (every fault-path kDiffRequest served records the requester as
@@ -136,21 +134,20 @@ struct DsmConfig {
   // pull path).  Pushes ride the requester-side diff cache keyed by
   // (writer, interval seq), so a racing pull-path fetch stays idempotent;
   // update mode is therefore inert while the diff cache is disabled, and
-  // requires num_nodes <= 64 (copysets are bitmasks).  Default overridable
-  // via TMK_UPDATE_MODE.
-  bool update_mode = detail::env_flag("TMK_UPDATE_MODE", false);
+  // requires num_nodes <= 64 (copysets are bitmasks).  On by default: the
+  // benchmark's barrier workload (Sweep3D + 3D-FFT) runs ~19% faster in
+  // modelled time with it; tests that compare against the pull path assign
+  // false.
+  bool update_mode = true;
 
   // Consecutive epochs a page's copyset must be stable before it is promoted
-  // to update mode.  Default overridable via TMK_UPDATE_PROMOTE_EPOCHS.
-  std::uint32_t update_promote_epochs = static_cast<std::uint32_t>(
-      detail::env_size("TMK_UPDATE_PROMOTE_EPOCHS", 2));
+  // to update mode.
+  std::uint32_t update_promote_epochs = 2;
 
   // Every Nth push to a page is applied armed (liveness probe, see
   // update_mode): larger values skip more faults between probes but let a
-  // stale promotion push uselessly for longer.  Must be >= 1.  Default
-  // overridable via TMK_UPDATE_REPROBE_EPOCHS.
-  std::uint32_t update_reprobe_epochs = static_cast<std::uint32_t>(
-      detail::env_size("TMK_UPDATE_REPROBE_EPOCHS", 4));
+  // stale promotion push uselessly for longer.  Must be >= 1.
+  std::uint32_t update_reprobe_epochs = 4;
 
   // Multi-page prefetch on fault: when a fault sends a kDiffRequest, up to
   // this many neighboring invalid pages (the window [page+1, page+N]) with

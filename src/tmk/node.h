@@ -92,6 +92,9 @@ class Node {
                                               // (GC prefetches + promotions)
     std::size_t relay_bytes = 0;        // subset of diff_cache_bytes retained
                                         // for the migratory lock relay
+    std::size_t relay_pages = 0;        // pages listed for the relay prune
+                                        // (compute-thread state: read it on
+                                        // the compute thread or after a run)
     // The metric the on-demand GC ceiling bounds: every byte of consistency
     // metadata that grows with synchronization history.
     std::size_t total_bytes() const {
@@ -513,8 +516,9 @@ class Node {
   // PageDiffCache::bind_total at construction).
   std::atomic<std::size_t> diff_store_bytes_{0};
   std::atomic<std::size_t> diff_cache_total_bytes_{0};
-  // Pages holding relay-retained chunks (compute thread only; deduplicated
-  // by relay_prune), so pruning is O(pages with retained chunks).
+  // Pages holding relay-retained chunks (compute thread only; each page at
+  // most once, via PageEntry::relay_listed), so pruning is O(pages with
+  // retained chunks).
   std::vector<PageIndex> relay_pages_;
 
   // ---- migratory lock push: per-lock protected page sets ----

@@ -190,6 +190,7 @@ Node::MetaFootprint Node::meta_footprint() {
     f.diff_cache_pinned_bytes += e.diff_cache.pinned_bytes();
     f.relay_bytes += e.diff_cache.relay_bytes();
   }
+  f.relay_pages = relay_pages_.size();
   return f;
 }
 

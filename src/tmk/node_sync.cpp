@@ -337,6 +337,7 @@ void Node::gc_raise_floor(const VectorTime& floor) {
     std::lock_guard<std::mutex> lock(meta_mu_);
     gc_floor_validated_ = vt_max(std::move(gc_floor_validated_), floor);
   }
+  if (rt_.config().lock_push_enabled()) relay_prune(gc_floor_snapshot());
 }
 
 void Node::gc_validate_pages(const VectorTime& floor) {
@@ -526,7 +527,6 @@ void Node::gc_poll() {
     }
     gc_raise_floor(floor);
     gc_reclaim_store_to(ack[id_]);
-    if (cfg.lock_push_enabled()) relay_prune(gc_floor_snapshot());
   }
   if (meta_bytes() <= cfg.meta_ceiling_bytes) return;
   // One initiation per generation, not one per sync op: while the exchange
@@ -570,13 +570,23 @@ void Node::gc_reclaim_store_to(std::uint32_t ack_seq) {
   }
 }
 
-void Node::relay_note(PageIndex page) { relay_pages_.push_back(page); }
+void Node::relay_note(PageIndex page) {
+  PageEntry& e = pages_[page];
+  if (e.relay_listed) return;
+  e.relay_listed = true;
+  relay_pages_.push_back(page);
+}
 
+// Retained relay chunks at or below an applied floor can never serve a fault
+// nor ride a future grant delta again.  Called only where the applied floor
+// rises (barrier/fork GC and the advancing branch of gc_raise_floor): chunks
+// retained since the last rise sit above that floor — pushes and fetches
+// carry only intervals the holder was missing — so pruning per grant would
+// rescan every listed page for nothing.
 void Node::relay_prune(const VectorTime& floor) {
   if (relay_pages_.empty()) return;
-  std::sort(relay_pages_.begin(), relay_pages_.end());
-  relay_pages_.erase(std::unique(relay_pages_.begin(), relay_pages_.end()),
-                     relay_pages_.end());
+  stats_.relay_pages_scanned.fetch_add(relay_pages_.size(),
+                                       std::memory_order_relaxed);
   std::size_t chunks = 0;
   std::size_t bytes = 0;
   std::vector<PageIndex> keep;
@@ -584,7 +594,11 @@ void Node::relay_prune(const VectorTime& floor) {
     PageEntry& e = pages_[page];
     std::lock_guard<std::mutex> lock(e.mu);
     chunks += e.diff_cache.prune_below(floor, &bytes);
-    if (e.diff_cache.relay_bytes() > 0) keep.push_back(page);
+    if (e.diff_cache.relay_bytes() > 0) {
+      keep.push_back(page);
+    } else {
+      e.relay_listed = false;
+    }
   }
   relay_pages_ = std::move(keep);
   if (chunks) {
@@ -1067,10 +1081,6 @@ std::uint32_t Node::consume_lock_grant(sim::Message& grant) {
   // invariant the fault path relies on.
   apply_lock_push(lock_id, grant.src, r);
   if (rt_.config().gc_lock_floors) gc_raise_floor(floor);
-  // Retained relay chunks at or below the applied floor can never serve a
-  // fault nor ride a future grant delta again: drop them here, on the chain
-  // itself, so a rotating barrier-free loop's relay stock stays bounded.
-  if (rt_.config().lock_push_enabled()) relay_prune(gc_floor_snapshot());
   return lock_id;
 }
 

@@ -289,6 +289,9 @@ struct PageEntry {
   // there means the whole critical section ran without touching the page,
   // and the pusher is denied.
   bool lock_push_armed = false;
+  // Listed in Node::relay_pages_ (compute thread only, like that list):
+  // keeps the list at one entry per page between floor rises.
+  bool relay_listed = false;
 };
 
 }  // namespace now::tmk

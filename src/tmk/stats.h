@@ -58,6 +58,8 @@ struct DsmStatsSnapshot {
                                              // dropped once a grant/GC floor
                                              // proved them redundant
   std::uint64_t relay_bytes_pruned = 0;      // ...and their bytes
+  std::uint64_t relay_pages_scanned = 0;     // pages the relay prune walked
+                                             // (only when a floor rises)
   std::uint64_t lock_acquires = 0;
   std::uint64_t lock_acquires_cached = 0;  // satisfied locally (node was tail)
   std::uint64_t barriers = 0;
@@ -118,6 +120,7 @@ struct DsmStatsSnapshot {
     gc_exchanges += o.gc_exchanges;
     relay_chunks_pruned += o.relay_chunks_pruned;
     relay_bytes_pruned += o.relay_bytes_pruned;
+    relay_pages_scanned += o.relay_pages_scanned;
     lock_acquires += o.lock_acquires;
     lock_acquires_cached += o.lock_acquires_cached;
     barriers += o.barriers;
@@ -165,6 +168,7 @@ struct DsmStats {
   std::atomic<std::uint64_t> gc_exchanges{0};
   std::atomic<std::uint64_t> relay_chunks_pruned{0};
   std::atomic<std::uint64_t> relay_bytes_pruned{0};
+  std::atomic<std::uint64_t> relay_pages_scanned{0};
   std::atomic<std::uint64_t> lock_acquires{0};
   std::atomic<std::uint64_t> lock_acquires_cached{0};
   std::atomic<std::uint64_t> barriers{0};
@@ -209,6 +213,7 @@ struct DsmStats {
     s.gc_exchanges = gc_exchanges.load(std::memory_order_relaxed);
     s.relay_chunks_pruned = relay_chunks_pruned.load(std::memory_order_relaxed);
     s.relay_bytes_pruned = relay_bytes_pruned.load(std::memory_order_relaxed);
+    s.relay_pages_scanned = relay_pages_scanned.load(std::memory_order_relaxed);
     s.lock_acquires = lock_acquires.load(std::memory_order_relaxed);
     s.lock_acquires_cached = lock_acquires_cached.load(std::memory_order_relaxed);
     s.barriers = barriers.load(std::memory_order_relaxed);

@@ -53,25 +53,38 @@ TEST(ConfigEnv, FlagParsesZeroAndNonzero) {
   EXPECT_FALSE(detail::env_flag(kVar, false));
 }
 
-// The lock-push and lock-chain/fork GC knobs ride the same hardened parser;
-// their env overrides must land in a freshly constructed DsmConfig.
-TEST(ConfigEnv, LockPushKnobsOverrideDefaults) {
-  EXPECT_EQ(DsmConfig{}.lock_push_bytes, 0u);  // default: push off
+// Both push protocols ship on, with no env knob: a config that names no
+// field runs update push and lock-grant push.
+TEST(ConfigEnv, PushProtocolsOnByDefault) {
+  const DsmConfig c;
+  EXPECT_TRUE(c.update_enabled());
+  EXPECT_TRUE(c.lock_push_enabled());
+}
+
+// The env variables that used to override the push defaults are no longer
+// read: setting them (even to malformed values) leaves the config as is.
+TEST(ConfigEnv, DeletedPushKnobsAreIgnored) {
+  const DsmConfig ref;
+  ScopedEnv lp("TMK_LOCK_PUSH_BYTES", "0");
+  ScopedEnv probe("TMK_LOCK_PUSH_PROBE", "bogus");
+  ScopedEnv reprobe("TMK_LOCK_PUSH_REPROBE", "1");
+  ScopedEnv update("TMK_UPDATE_MODE", "0");
+  ScopedEnv promote("TMK_UPDATE_PROMOTE_EPOCHS", "9");
+  ScopedEnv ureprobe("TMK_UPDATE_REPROBE_EPOCHS", "-1");
+  const DsmConfig c;
+  EXPECT_EQ(c.lock_push_bytes, ref.lock_push_bytes);
+  EXPECT_EQ(c.lock_push_probe, ref.lock_push_probe);
+  EXPECT_EQ(c.lock_push_reprobe, ref.lock_push_reprobe);
+  EXPECT_EQ(c.update_mode, ref.update_mode);
+  EXPECT_EQ(c.update_promote_epochs, ref.update_promote_epochs);
+  EXPECT_EQ(c.update_reprobe_epochs, ref.update_reprobe_epochs);
+}
+
+// The lock-chain/fork GC knobs ride the same hardened parser; their env
+// overrides must land in a freshly constructed DsmConfig.
+TEST(ConfigEnv, GcFloorKnobsOverrideDefaults) {
   EXPECT_TRUE(DsmConfig{}.gc_fork_join);
   EXPECT_TRUE(DsmConfig{}.gc_lock_floors);
-  {
-    ScopedEnv env("TMK_LOCK_PUSH_BYTES", "12288");
-    EXPECT_EQ(DsmConfig{}.lock_push_bytes, 12288u);
-    EXPECT_TRUE(DsmConfig{}.lock_push_enabled());
-  }
-  {
-    ScopedEnv env("TMK_LOCK_PUSH_PROBE", "5");
-    EXPECT_EQ(DsmConfig{}.lock_push_probe, 5u);
-  }
-  {
-    ScopedEnv env("TMK_LOCK_PUSH_REPROBE", "2");
-    EXPECT_EQ(DsmConfig{}.lock_push_reprobe, 2u);
-  }
   {
     ScopedEnv env("TMK_GC_FORK_JOIN", "0");
     EXPECT_FALSE(DsmConfig{}.gc_fork_join);
@@ -108,16 +121,19 @@ TEST(ConfigEnvDeathTest, RejectsMalformedSyncFabricKnobs) {
   }
 }
 
-// An explicit field assignment still beats the env default, and the push
-// stays gated on the diff cache.
-TEST(ConfigEnv, LockPushExplicitAssignmentAndCacheGate) {
-  ScopedEnv env("TMK_LOCK_PUSH_BYTES", "12288");
+// Assigning the fields turns each push protocol off (the pull path the
+// byte-identity tests compare against), and both stay gated on the diff
+// cache.
+TEST(ConfigEnv, PushOffByAssignmentAndCacheGate) {
   DsmConfig c;
   c.lock_push_bytes = 0;
+  c.update_mode = false;
   EXPECT_FALSE(c.lock_push_enabled());
+  EXPECT_FALSE(c.update_enabled());
   DsmConfig d;
   d.diff_cache_bytes_per_page = 0;
   EXPECT_FALSE(d.lock_push_enabled());  // pushes would have nowhere to park
+  EXPECT_FALSE(d.update_enabled());
 }
 
 // The on-demand GC ceiling: off by default (unbounded metadata, matching
@@ -212,10 +228,13 @@ TEST(ConfigEnv, CrashKnobGatingAndExplicitAssignment) {
 // The channel the config implies: the retry budget must reach the wire
 // layer, and crash injection must force the reliability protocol plus
 // keepalive probes on — while a ckpt-only (or knobs-off) run keeps the
-// bypassed perfect wire that makes its message counts exact.
+// bypassed perfect wire that makes its message counts exact.  The knobs-off
+// cases pin a clean wire: the chaos CI leg sets TMK_NET_* fault defaults.
 TEST(ConfigEnv, CrashKnobsPlumbIntoChannelConfig) {
   {
     DsmConfig c;
+    c.net_fault = {};
+    c.net_reliable = false;
     c.net_max_retries = 7;
     EXPECT_EQ(c.channel().max_retries, 7u);
     EXPECT_FALSE(c.channel().reliable);
@@ -232,6 +251,8 @@ TEST(ConfigEnv, CrashKnobsPlumbIntoChannelConfig) {
   }
   {
     DsmConfig c;
+    c.net_fault = {};
+    c.net_reliable = false;
     c.ckpt_every = 4;
     EXPECT_FALSE(c.channel().reliable);
     EXPECT_EQ(c.channel().probe_idle_host_us, 0u);
@@ -261,15 +282,7 @@ TEST(ConfigEnvDeathTest, RejectsMalformedCrashRecoveryKnobs) {
   }
 }
 
-TEST(ConfigEnvDeathTest, RejectsMalformedLockPushKnobs) {
-  {
-    ScopedEnv env("TMK_LOCK_PUSH_BYTES", "16k");
-    EXPECT_DEATH({ DsmConfig c; (void)c; }, "malformed TMK_LOCK_PUSH_BYTES");
-  }
-  {
-    ScopedEnv env("TMK_LOCK_PUSH_PROBE", " 8");
-    EXPECT_DEATH({ DsmConfig c; (void)c; }, "malformed TMK_LOCK_PUSH_PROBE");
-  }
+TEST(ConfigEnvDeathTest, RejectsMalformedGcFloorKnobs) {
   {
     ScopedEnv env("TMK_GC_LOCK_FLOORS", "yes");
     EXPECT_DEATH({ DsmConfig c; (void)c; }, "malformed TMK_GC_LOCK_FLOORS");

@@ -315,6 +315,9 @@ TEST(FuzzConsistency, ByteIdenticalAcrossConfigMatrix) {
   matrix.push_back({0, false, 16 * 1024, false, 16 * 1024, 0, false, 4096});
   matrix.push_back({4, true, 16 * 1024, true, 0, 2, true, 4096});
   matrix.push_back({0, false, 0, false, 0, 0, false, 4096});
+  // The shipped default stack (update push + lock push) under the ceiling:
+  // exchange floors prune relay chunks while barrier pushes are in flight.
+  matrix.push_back({0, false, 16 * 1024, true, 16 * 1024, 0, false, 4096});
   // Lossy-wire legs: each fault class alone at the issue's rates — drop 1%,
   // dup 0.5%, reorder 1%, delay jitter — then all four at once riding the
   // protocol combinations whose ordering assumptions a lossy wire attacks:
@@ -336,6 +339,10 @@ TEST(FuzzConsistency, ByteIdenticalAcrossConfigMatrix) {
   matrix.push_back({4, true, 16 * 1024, false, 0, 2, true, 0,
                     10000, 5000, 10000, 200'000});
   matrix.push_back({0, false, 16 * 1024, false, 0, 0, false, 4096,
+                    10000, 5000, 10000, 200'000});
+  // And the shipped default stack, both push protocols at once, under the
+  // same all-faults mix.
+  matrix.push_back({4, true, 16 * 1024, true, 16 * 1024, 0, false, 0,
                     10000, 5000, 10000, 200'000});
 
   for (std::size_t s = 0; s < seeds; ++s) {

@@ -383,6 +383,60 @@ TEST(LockPush, CeilingPrunesRelayChunksWithoutBreakingThePush) {
   EXPECT_LE(capped_max, kCeiling + kCeiling);
 }
 
+// Relay pruning costs nothing while the GC floor stands still.  A
+// barrier-free, ceiling-less chain never raises the applied floor, so every
+// retained relay chunk sits above it and a prune could drop nothing: the
+// prune must not run at all (a per-grant prune rescanned every listed page
+// on every handoff — quadratic on deep TSP task pools).  The list of pages
+// to prune stays at one entry per distinct relayed page, and the barrier
+// that does raise the floor still prunes.
+TEST(LockPush, RelayPruneIdleWhileFloorStandsStill) {
+  constexpr std::size_t kIters = 100;  // x4 nodes: 400 critical sections
+  constexpr std::size_t kRelayedPages = 2;  // bound_loop's two state pages
+  auto c = cfg(4, 16 * 1024);
+  c.meta_ceiling_bytes = 0;
+  DsmRuntime rt(c);
+  std::vector<std::uint64_t> scans_in_loop(4, 0);
+  std::vector<std::size_t> max_listed(4, 0);
+  rt.run_spmd([&](Tmk& tmk) {
+    gptr<std::uint64_t> bound(kPageSize);
+    if (tmk.id() == 0) {
+      tmk.lock_acquire(0);
+      bound[0] = 1;
+      bound[kWpp] = 1;
+      tmk.lock_release(0);
+    }
+    tmk.barrier();
+    const auto scans = [&] {
+      return tmk.node.stats().snapshot().relay_pages_scanned;
+    };
+    const std::uint64_t before = scans();
+    for (std::size_t i = 0; i < kIters; ++i) {
+      tmk.lock_acquire(0);
+      const std::uint64_t v = bound[0];
+      bound[0] = v + 1;
+      for (std::size_t k = 0; k < 4; ++k)
+        bound[kWpp + 1 + (v + k) % 8] = v * 100 + k;
+      tmk.lock_release(0);
+      max_listed[tmk.id()] = std::max(max_listed[tmk.id()],
+                                      tmk.node.meta_footprint().relay_pages);
+      std::this_thread::yield();
+    }
+    scans_in_loop[tmk.id()] = scans() - before;
+    tmk.barrier();
+  });
+  const auto s = rt.total_stats();
+  ASSERT_GT(rt.traffic().messages_by_type[kLockGrant], 8u);  // it migrated
+  ASSERT_GT(s.lock_pushes_sent, 0u);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(scans_in_loop[i], 0u) << "node " << i;
+    EXPECT_LE(max_listed[i], kRelayedPages) << "node " << i;
+  }
+  // The final barrier's floor covers the chain's retained chunks.
+  EXPECT_GT(s.relay_pages_scanned, 0u);
+  EXPECT_GT(s.relay_chunks_pruned, 0u);
+}
+
 // The push parks chunks in the requester-side diff cache, so it is inert —
 // zero pushes, plain pull traffic — while the cache is disabled.
 TEST(LockPush, InertWithoutDiffCache) {
